@@ -16,6 +16,7 @@ from harness import (
     DATASET_NAME,
     TOP_K,
     AnswerChecker,
+    SetupTimer,
     SpanLog,
     build_database,
     build_engine,
@@ -25,14 +26,16 @@ from harness import (
     percentile,
     rss_peak_mb,
     sample_queries,
-    repeated_setup,
 )
 from layers import core_metrics, index_metrics, service_metrics
 
 #: Sampled queries per second of ``--seconds`` (each is run under all
-#: three algorithms), sized so a run lasts about that long on 2 cores.
-QUERIES_PER_SECOND = 2.25
-SETUP_REPEATS = 15
+#: three algorithms).  ``qps`` is a mean, set by MI-Backward's heavy
+#: tail on three- and four-keyword queries, so it takes this many
+#: queries for it to repeat across seeds; a run then lasts one and a
+#: half to two times ``--seconds`` on a shared 2-core host.
+QUERIES_PER_SECOND = 3.375
+SETUP_REPEATS = 31
 
 
 def _setup():
@@ -59,12 +62,14 @@ def _pass(requests, log: SpanLog, checker: AnswerChecker, reference) -> dict:
     """Set up, then serve every request once; returns the observations."""
     from repro import QueryRequest
 
-    setup_s, (engine, service) = repeated_setup(_setup, lambda made: made[1].close(), SETUP_REPEATS)
+    timer = SetupTimer(_setup, lambda made: made[1].close(), SETUP_REPEATS, len(requests))
+    engine, service = timer.setup()
     log.instrument(engine, "search", "repro.core", "KeywordSearchEngine.search")
     log.instrument(engine.index, "lookup", "repro.index", "InvertedIndex.lookup")
     observations = []
     try:
         for number, (keywords, algorithm) in enumerate(requests):
+            timer.between(number)
             request_id = f"c{number}"
             request = QueryRequest(DATASET_NAME, keywords, algorithm=algorithm, k=TOP_K)
             sent = time.perf_counter()
@@ -85,12 +90,13 @@ def _pass(requests, log: SpanLog, checker: AnswerChecker, reference) -> dict:
                 continue
             _, keyword_sets = reference.resolve(keywords)
             checker.check(what, response.result, keyword_sets, reference.graph)
+        timer.finish()
     finally:
         service.close()
     # The caller's busy time per request: checking answers between
     # requests is the benchmark's work, not the program's.
     busy = [obs["latency"] for obs in observations]
-    return {"setup_s": setup_s, "busy": busy, "observations": observations}
+    return {"setup_s": timer.seconds, "busy": busy, "observations": observations}
 
 
 def run(seed: int, seconds: int, trace: bool, cleared: dict) -> dict:
@@ -100,10 +106,10 @@ def run(seed: int, seconds: int, trace: bool, cleared: dict) -> dict:
     log = SpanLog("cold-search", enabled=trace)
     untraced = None
     if trace:
-        # The first half of the same requests, tracing off, fresh state:
-        # the base of trace.overhead_pct.
-        half = requests[: len(requests) // 2]
-        untraced = _pass(half, SpanLog("cold-search", enabled=False), AnswerChecker(), reference)
+        # The first quarter of the same requests, tracing off, fresh
+        # state: the base of trace.overhead_pct.
+        quarter = requests[: len(requests) // 4]
+        untraced = _pass(quarter, SpanLog("cold-search", enabled=False), AnswerChecker(), reference)
     measured = _pass(requests, log, checker, reference)
     observations = measured["observations"]
     latencies = [obs["latency"] for obs in observations]
@@ -114,7 +120,6 @@ def run(seed: int, seconds: int, trace: bool, cleared: dict) -> dict:
             "setup_s": measured["setup_s"],
             "qps": len(observations) / sum(measured["busy"]),
             "latency_p50_ms": percentile(latencies, 0.5) * 1e3,
-            "latency_p90_ms": percentile(latencies, 0.9) * 1e3,
             "rss_peak_mb": rss_peak_mb(),
         },
         "info": dict(

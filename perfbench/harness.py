@@ -160,7 +160,7 @@ class AnswerChecker:
     Every answer tree must hold, per keyword, a root-to-node path that
     ends in that keyword's node set, use only edges of the graph it was
     searched on and be a minimal rooting (paper §3); a result holds at
-    most ``k`` answers.
+    most :data:`TOP_K` answers.
 
     Score order is counted, not failed: the §4.5 output bound is a
     heuristic under activation-ordered frontiers (the paper says so and
@@ -172,8 +172,8 @@ class AnswerChecker:
     def __init__(self) -> None:
         self.failures: list[str] = []
 
-    def check(self, what: str, result, keyword_sets, graph, k: int = TOP_K) -> bool:
-        problem = self._problem(result, keyword_sets, graph, k)
+    def check(self, what: str, result, keyword_sets, graph) -> bool:
+        problem = self._problem(result, keyword_sets, graph)
         if problem is not None:
             self.failures.append(f"{what}: {problem}")
             return False
@@ -183,12 +183,12 @@ class AnswerChecker:
         self.failures.append(f"{what}: {problem}")
 
     @staticmethod
-    def _problem(result, keyword_sets, graph, k: int) -> Optional[str]:
+    def _problem(result, keyword_sets, graph) -> Optional[str]:
         answers = result.answers
         if not answers:
             return "no answers"
-        if len(answers) > k:
-            return f"{len(answers)} answers for top-{k}"
+        if len(answers) > TOP_K:
+            return f"{len(answers)} answers for top-{TOP_K}"
         for rank, answer in enumerate(answers):
             tree = answer.tree
             if len(tree.paths) != len(keyword_sets):
@@ -301,11 +301,10 @@ class SpanLog:
         setattr(obj, method, timed)
 
     def add(self, record: dict) -> None:
-        """Adopt a span recorded elsewhere (another process)."""
+        """Adopt a span recorded elsewhere (another process) under a new
+        id."""
         with self._lock:
-            record = dict(record, id=next(self._ids) if record.get("id") is None else record["id"])
-            record.setdefault("workload", self.workload)
-            self.spans.append(record)
+            self.spans.append(dict(record, id=next(self._ids), workload=self.workload))
 
     def by_layer(self, layer: str, name: Optional[str] = None) -> list[dict]:
         return [
@@ -361,18 +360,47 @@ def overhead_pct(traced: Sequence[float], untraced: Sequence[float]) -> float:
     return (sum(traced[: len(untraced)]) / sum(untraced) - 1.0) * 100.0
 
 
-def repeated_setup(make: Callable[[], object], close: Callable[[object], None], repeats: int):
-    """Median wall seconds of ``repeats`` calls of ``make``, plus the
-    last call's value; every earlier value is closed again first."""
-    times = []
-    value = None
-    for _ in range(repeats):
-        if value is not None:
-            close(value)
+class SetupTimer:
+    """Times a workload's set-up ``repeats`` times; :attr:`seconds` is
+    the median.
+
+    One set-up takes about ten milliseconds, and a shared host has fast
+    and slow spells a second or two long, so set-ups timed back to back
+    all land in one spell and the median follows the spell.  The first
+    set-up serves the run; each spare one is made between two requests,
+    spread evenly over the run, and closed at once, so the median
+    samples the same spells as the rest of the run.
+    """
+
+    def __init__(self, make: Callable[[], object], close: Callable[[object], None], repeats: int, requests: int):
+        self.make = make
+        self.close = close
+        self.every = max(1, requests // repeats)
+        self.spares = repeats - 1
+        self.times: list[float] = []
+
+    def setup(self):
         start = time.perf_counter()
-        value = make()
-        times.append(time.perf_counter() - start)
-    return median(times), value
+        value = self.make()
+        self.times.append(time.perf_counter() - start)
+        return value
+
+    def between(self, number: int) -> None:
+        """Call before request ``number``: makes, times and closes a
+        spare set-up when one is due."""
+        if self.spares and number and number % self.every == 0:
+            self.spares -= 1
+            self.close(self.setup())
+
+    def finish(self) -> None:
+        """Makes the spare set-ups a short run left over."""
+        while self.spares:
+            self.spares -= 1
+            self.close(self.setup())
+
+    @property
+    def seconds(self) -> float:
+        return median(self.times)
 
 
 def rss_peak_mb(children: bool = False) -> float:

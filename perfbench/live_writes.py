@@ -23,6 +23,7 @@ from harness import (
     TOP_K,
     WORK_DIR,
     AnswerChecker,
+    SetupTimer,
     SpanLog,
     build_database,
     build_engine,
@@ -33,7 +34,6 @@ from harness import (
     median,
     percentile,
     sample_queries,
-    repeated_setup,
     rss_peak_mb,
     zipf_weights,
 )
@@ -48,7 +48,7 @@ ZIPF_EXPONENT = 0.5
 READS_PER_COMMIT = 4
 #: Commit cycles (reads, commit, probe) per second of ``--seconds``.
 CYCLES_PER_SECOND = 2.5
-SETUP_REPEATS = 15
+SETUP_REPEATS = 31
 #: Frequent title words the inserted papers reuse besides their unique
 #: term, so inserts also grow existing posting lists.
 TITLE_WORDS = 40
@@ -99,19 +99,6 @@ def _plan(seed: int, seconds: int):
     return pool, plan
 
 
-class _TimedJournal:
-    """Times each commit's durable append; attached in place of the
-    service's journal through ``MutableDataset.attach_journal``."""
-
-    def __init__(self, journal, log: SpanLog) -> None:
-        self.journal = journal
-        self.log = log
-
-    def append(self, mutations, **kwargs):
-        with self.log.span("repro.wal", "journal.append"):
-            return self.journal.append(mutations, **kwargs)
-
-
 def _instrument(log: SpanLog, dataset) -> None:
     log.instrument(dataset.engine, "search", "repro.core", "KeywordSearchEngine.search")
     log.instrument(dataset.index, "lookup", "repro.index", "InvertedIndex.lookup")
@@ -121,12 +108,9 @@ def _pass(pool, plan, log: SpanLog, checker: AnswerChecker, wal_path: Path, flat
     """Set up, then run the plan once; returns the observations."""
     from repro import MutableDataset
 
-    wal_paths = [wal_path.with_name(f"{wal_path.name}-{n}") for n in range(SETUP_REPEATS - 1)]
-    wal_paths.append(wal_path)
-    setups = iter(wal_paths)
-    setup_s, (dataset, service) = repeated_setup(
-        lambda: _setup(next(setups)), lambda made: made[1].close(), SETUP_REPEATS
-    )
+    wal_paths = iter([wal_path] + [wal_path.with_name(f"{wal_path.name}-{n}") for n in range(1, SETUP_REPEATS)])
+    timer = SetupTimer(lambda: _setup(next(wal_paths)), lambda made: made[1].close(), SETUP_REPEATS, len(plan))
+    dataset, service = timer.setup()
     # Answers are checked against a twin dataset that gets the same
     # commits but serves no traffic, so checking warms no cache of the
     # dataset under test.
@@ -137,9 +121,8 @@ def _pass(pool, plan, log: SpanLog, checker: AnswerChecker, wal_path: Path, flat
     busy = []
     try:
         _instrument(log, dataset)
-        if log.enabled:
-            dataset.attach_journal(_TimedJournal(dataset.journal, log))
         for number, item in enumerate(plan):
+            timer.between(number)
             request_id = f"l{number}"
             if item[0] == "read":
                 keywords = pool[item[1]]
@@ -170,11 +153,12 @@ def _pass(pool, plan, log: SpanLog, checker: AnswerChecker, wal_path: Path, flat
             }
             if outcome.new_nodes[0] not in answer_nodes:
                 checker.fail(request_id, f"inserted paper {term!r} not found by the probe right after commit")
+        timer.finish()
         version = service.dataset_version(DATASET_NAME)
     finally:
         service.close()
     return {
-        "setup_s": setup_s,
+        "setup_s": timer.seconds,
         "busy": busy,
         "reads": reads,
         "commits": commits,
@@ -261,7 +245,6 @@ def run(seed: int, seconds: int, trace: bool, cleared: dict) -> dict:
             "setup_s": measured["setup_s"],
             "qps": operations / sum(measured["busy"]),
             "latency_p50_ms": 1e3 * percentile(latencies, 0.5),
-            "latency_p90_ms": 1e3 * percentile(latencies, 0.9),
             "rss_peak_mb": rss_peak_mb(),
         },
         "info": dict(
@@ -292,7 +275,6 @@ def _layer_metrics(log: SpanLog, measured: dict, replay_s: float) -> dict:
             "live.read_after_write_p50_ms": 1e3 * median(commit["probe"]["visible"] for commit in commits),
             "live.overlay_ratio": median(measured["flat_ratios"]),
             "live.compactions": sum(1 for commit in commits if commit["outcome"].compacted),
-            "wal.append_p50_us": 1e6 * median(duration(span) for span in log.by_layer("repro.wal")),
             "wal.bytes_per_mutation": wal_bytes / mutations,
             "wal.replay_s": replay_s,
         }
