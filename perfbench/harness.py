@@ -108,10 +108,12 @@ QUERY_CLASSES = tuple(
 
 
 def sample_queries(
-    db, engine, rng: random.Random, count: int, classes=QUERY_CLASSES
+    db, engine, rng: random.Random, count: int, classes=QUERY_CLASSES, distinct: bool = True
 ) -> list[tuple[str, ...]]:
-    """``count`` distinct keyword tuples from the paper's planted-tree
-    generator, cycling through ``classes`` (keyword count, origin class).
+    """``count`` keyword tuples from the paper's planted-tree generator,
+    cycling through ``classes`` (keyword count, origin class); distinct
+    ones unless ``distinct`` is false, when a query recurs as often as
+    the generator draws it.
 
     The list depends on ``rng`` alone and is never filtered by how long
     a query takes to run.
@@ -131,7 +133,7 @@ def sample_queries(
             origin_class=origin,
         )
         key = frozenset(query.keywords) if query is not None else None
-        if query is None or key in seen:
+        if query is None or (distinct and key in seen):
             misses += 1
             if misses > 50 * count:
                 raise BenchError("the query generator cannot fill the query list")
