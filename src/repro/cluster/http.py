@@ -72,6 +72,10 @@ Routes
     health, SLO burn rates, recent events, latency per algorithm,
     slow queries and the hottest profile stacks.
 
+Every ``POST`` route checks the declared ``Content-Length`` before
+reading the body: a missing number or a negative one gets 400, and one
+above :data:`MAX_BODY_BYTES` gets 413 (``PayloadTooLargeError``).
+
 Tracing: when the service has a tracer, ``POST /search`` mints the
 trace at the front door — an ``http`` root span whose id rides the
 request into the service — and every search response carries
@@ -121,7 +125,14 @@ from repro.telemetry.dashboard import render_dashboard
 from repro.telemetry.metrics import render_prometheus
 from repro.telemetry.trace import new_trace_id, render_span_tree
 
-__all__ = ["QueryHTTPServer", "make_server", "serve", "status_for_error"]
+__all__ = [
+    "MAX_BODY_BYTES",
+    "PayloadTooLargeError",
+    "QueryHTTPServer",
+    "make_server",
+    "serve",
+    "status_for_error",
+]
 
 #: Structured error type -> HTTP status.
 _ERROR_STATUS = {
@@ -137,10 +148,18 @@ _ERROR_STATUS = {
     PoolClosedError.__name__: 503,
 }
 
+#: Largest request body accepted, in bytes.  A longer declared
+#: ``Content-Length`` is answered 413 without reading the body.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 #: Seconds between socket peeks while a search runs.
 _DISCONNECT_POLL_SECONDS = 0.05
 
 _internal_ids = itertools.count(1)
+
+
+class PayloadTooLargeError(ValueError):
+    """A request declared a body longer than :data:`MAX_BODY_BYTES`."""
 
 
 def status_for_error(error_type: Optional[str]) -> int:
@@ -204,7 +223,17 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message, "error_type": error_type})
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        # Validate the declared length before reading: ``read(-1)``
+        # would block until the client hangs up.
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not declared.isdecimal():
+            raise ValueError(f"invalid Content-Length {declared!r}")
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise PayloadTooLargeError(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ValueError("request body is empty; expected a JSON object")
@@ -408,7 +437,8 @@ class _Handler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):
             pass  # client hung up; its search was cancelled already
         except ValueError as exc:
-            self._send_error_json(400, str(exc), type(exc).__name__)
+            status = 413 if isinstance(exc, PayloadTooLargeError) else 400
+            self._send_error_json(status, str(exc), type(exc).__name__)
         except Exception as exc:  # pragma: no cover - handler backstop
             self._send_error_json(500, str(exc), type(exc).__name__)
 

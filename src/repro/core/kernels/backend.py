@@ -3,13 +3,13 @@
 Four backends share one batched-engine contract:
 
 * ``"python"`` — not a kernel at all: the seed's per-pop loops in
-  ``backward_si``/``bidirectional``/``backward_mi``, kept bit-identical
-  as the default;
+  ``backward_si``/``bidirectional``/``backward_mi``, kept selectable
+  (by parameter or environment variable) as the per-pop reference;
 * ``"scalar"`` — the batched engine with pure-python candidate
   kernels.  Slower than ``"python"`` (it exists for parity testing:
   every other kernel backend must match it bit for bit);
 * ``"vectorized"`` — the batched engine with numpy kernels over the
-  graph's CSR arrays;
+  graph's CSR arrays, and the default;
 * ``"numba"`` — compiled kernels; resolves to ``"vectorized"`` when
   numba is not importable so deployments opt in without a hard
   dependency.
@@ -17,7 +17,9 @@ Four backends share one batched-engine contract:
 ``"auto"`` (the ``SearchParams`` default) resolves through the
 ``REPRO_EXPANSION_BACKEND`` environment variable — the switch CI's
 kernel-parity job uses to run the whole tier-1 suite on a non-default
-backend — and falls back to ``"python"`` when unset.
+backend — and falls back to ``"vectorized"`` when unset.  The batched
+engines skip building answer trees that cannot enter the top-k (the
+exact-mode ``EmitGate``); the per-pop loops build every one.
 """
 
 from __future__ import annotations
@@ -67,13 +69,13 @@ def resolve_backend(requested: str) -> str:
     """Map a ``SearchParams.expansion_backend`` value to a runnable backend.
 
     ``"auto"`` reads ``REPRO_EXPANSION_BACKEND`` (defaulting to
-    ``"python"``); ``"numba"`` degrades to ``"vectorized"`` when numba
+    ``"vectorized"``); ``"numba"`` degrades to ``"vectorized"`` when numba
     is absent.  An unknown environment value raises so CI typos fail
     loudly instead of silently testing the default backend.
     """
     name = requested
     if name == "auto":
-        name = os.environ.get(ENV_VAR, "").strip() or "python"
+        name = os.environ.get(ENV_VAR, "").strip() or "vectorized"
     if name not in _VALID:
         raise ValueError(
             f"unknown expansion backend {name!r}; expected one of {_VALID}"

@@ -73,8 +73,11 @@ class SearchParams:
         kernels) or ``"numba"`` (compiled kernels; silently falls back
         to ``"vectorized"`` when numba is not installed).  The default
         ``"auto"`` resolves to the ``REPRO_EXPANSION_BACKEND``
-        environment variable, or ``"python"`` when unset, so existing
-        behaviour is bit-identical unless a backend is opted into.
+        environment variable, or ``"vectorized"`` when unset.  Under
+        batching, SI and bidirectional may return a different tree
+        among equal-scored ties than ``"python"`` does (see
+        docs/PERFORMANCE.md); MI matches it in answers and exploration
+        counters.
     expansion_batch:
         Cursors popped per iteration by the batched engines.  ``0``
         (default) auto-selects: 1 for the python backend, otherwise

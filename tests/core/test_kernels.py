@@ -21,6 +21,7 @@ from repro.core.kernels import (
 )
 from repro.core.kernels.engines import EmitGate, effective_batch
 from repro.core.params import SearchParams
+from repro.service import QueryService
 
 from tests.helpers import build_graph
 
@@ -31,13 +32,13 @@ class TestBackendResolution:
         assert resolve_backend("scalar") == "scalar"
         assert resolve_backend("vectorized") == "vectorized"
 
-    def test_auto_defaults_to_python(self, monkeypatch):
+    def test_auto_defaults_to_vectorized(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
-        assert resolve_backend("auto") == "python"
+        assert resolve_backend("auto") == "vectorized"
 
     def test_auto_reads_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "vectorized")
-        assert resolve_backend("auto") == "vectorized"
+        monkeypatch.setenv(ENV_VAR, "python")
+        assert resolve_backend("auto") == "python"
 
     def test_env_typo_raises(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "vectorised")
@@ -55,6 +56,30 @@ class TestBackendResolution:
         arms = available_backends()
         for backend in ("python", "scalar", "vectorized"):
             assert backend in arms
+
+
+class TestDefaultDeployment:
+    """With nothing configured, searches run on the batched engines."""
+
+    @pytest.mark.parametrize("algorithm", ["si-backward", "bidirectional"])
+    def test_default_engine_search_is_batched(
+        self, monkeypatch, toy_engine, algorithm
+    ):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        result = toy_engine.search("gray transaction", algorithm=algorithm)
+        assert result.answers
+        assert result.stats.kernel_batches > 0
+
+    @pytest.mark.parametrize("algorithm", ["si-backward", "bidirectional"])
+    def test_default_service_search_is_batched(
+        self, monkeypatch, toy_engine, algorithm
+    ):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        with QueryService() as service:
+            service.register_engine("toy", toy_engine)
+            response = service.search("toy", "gray transaction", algorithm=algorithm)
+        assert response.ok
+        assert response.result.stats.kernel_batches > 0
 
 
 class TestGraphCSR:
