@@ -86,10 +86,9 @@ class ShortestPathIterator:
         if csr is not None:
             self._settled_mask[node] = True
             if self._hops[node] < dmax:
-                lo = int(csr.in_indptr[node])
-                hi = int(csr.in_indptr[node + 1])
-                if hi - lo >= self.VECTOR_ROW_MIN:
-                    self._expand_csr(node, dist, lo, hi)
+                u_arr, w_arr = csr.in_side.row(node)
+                if len(u_arr) >= self.VECTOR_ROW_MIN:
+                    self._expand_csr(node, dist, u_arr, w_arr)
                 else:
                     self._expand_scalar(node, dist)
             return node
@@ -113,19 +112,17 @@ class ShortestPathIterator:
             self._frontier.push(u, nd)
             self._stats.heap_ops += 1
 
-    def _expand_csr(self, node: int, dist: float, lo: int, hi: int) -> None:
+    def _expand_csr(self, node: int, dist: float, u_arr, w_arr) -> None:
         """CSR row scan: count every edge, relax unsettled neighbours in
         row order with the exact arithmetic of the tuple loop."""
-        csr = self._csr
-        self._stats.explore_edge(hi - lo)
-        u_arr = csr.in_src[lo:hi]
+        self._stats.explore_edge(len(u_arr))
         keep = ~self._settled_mask[u_arr]
         if not keep.any():
             return
         hops = self._hops[node] + 1
         frontier = self._frontier
         for u, w in zip(
-            u_arr[keep].tolist(), csr.in_w[lo:hi][keep].tolist()
+            u_arr[keep].tolist(), w_arr[keep].tolist()
         ):
             nd = dist + w
             current = frontier.get_priority(u)

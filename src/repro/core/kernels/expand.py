@@ -45,29 +45,12 @@ _EMPTY_I = np.zeros(0, dtype=np.int64)
 _EMPTY_F = np.zeros(0, dtype=np.float64)
 
 
-def _gather(
-    indptr: np.ndarray, nbr: np.ndarray, w: np.ndarray, nodes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if len(nodes) == 0:
-        return _EMPTY_I, _EMPTY_I, _EMPTY_F
-    starts = indptr[nodes]
-    counts = indptr[nodes + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return _EMPTY_I, _EMPTY_I, _EMPTY_F
-    edge_index = np.concatenate(
-        [np.arange(s, s + c) for s, c in zip(starts.tolist(), counts.tolist())]
-    )
-    rep = np.repeat(nodes, counts).astype(np.int64, copy=False)
-    return nbr[edge_index].astype(np.int64, copy=False), rep, w[edge_index]
-
-
 def gather_in(
     csr: GraphCSR, nodes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """In-edges of the batch: ``(neighbour, expanding_node, weight)``
     per edge ``(neighbour -> expanding_node)``, graph order."""
-    return _gather(csr.in_indptr, csr.in_src, csr.in_w, nodes)
+    return csr.in_side.gather(nodes)
 
 
 def gather_out(
@@ -75,7 +58,7 @@ def gather_out(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Out-edges of the batch: ``(neighbour, expanding_node, weight)``
     per edge ``(expanding_node -> neighbour)``, graph order."""
-    return _gather(csr.out_indptr, csr.out_dst, csr.out_w, nodes)
+    return csr.out_side.gather(nodes)
 
 
 # ----------------------------------------------------------------------

@@ -247,6 +247,18 @@ class OverlayGraph:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _csr_overlay(self):
+        """Base graph, replacement rows and normalizer overrides, so
+        :func:`repro.core.kernels.csr.graph_csr` derives this view's
+        kernel CSR from the base's without reading untouched rows."""
+        return (
+            self._base,
+            self._in_over,
+            self._out_over,
+            self._in_invw_over,
+            self._out_invw_over,
+        )
+
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
             raise UnknownNodeError(node)

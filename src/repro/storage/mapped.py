@@ -128,12 +128,16 @@ class _LazyAdjacency(Sequence):
     and cached thereafter.
     """
 
-    __slots__ = ("_bounds", "_ids", "_weights", "_fwd", "_rows", "_stats")
+    __slots__ = (
+        "_indptr", "_bounds", "_ids", "_weights", "_fwd", "_rows", "_stats",
+    )
 
     def __init__(self, indptr, ids, weights, fwd, stats: StorageStats) -> None:
         # Bounds are O(n) and consulted on every access: keep them as a
         # resident Python list (int64 scalars would leak numpy types
-        # into slice arithmetic anyway).
+        # into slice arithmetic anyway).  The mapped array itself stays
+        # for the kernel CSR's zero-copy view.
+        self._indptr = indptr
         self._bounds = np.asarray(indptr).tolist()
         self._ids = ids
         self._weights = weights
@@ -310,15 +314,17 @@ class MappedSearchGraph(SearchGraph):
         return self._csr_cache
 
     def _mapped_csr_sides(self) -> dict[str, np.ndarray]:
-        """Raw both-sides arrays for the kernel CSR fast path
-        (:func:`repro.core.kernels.csr.graph_csr`)."""
+        """Both adjacency sides for the kernel CSR
+        (:func:`repro.core.kernels.csr.graph_csr`): views of the mapped
+        arrays, already in the kernels' dtypes, so nothing is copied
+        and every page stays in the shared page cache."""
         return {
-            "in_indptr": np.array(self._in._bounds, dtype=np.int64),
-            "in_src": np.array(self._in._ids, dtype=np.int32),
-            "in_w": np.array(self._in._weights, dtype=np.float64),
-            "out_indptr": np.array(self._out._bounds, dtype=np.int64),
-            "out_dst": np.array(self._out._ids, dtype=np.int32),
-            "out_w": np.array(self._out._weights, dtype=np.float64),
+            "in_indptr": np.asarray(self._in._indptr, dtype=np.int64),
+            "in_src": np.asarray(self._in._ids, dtype=np.int32),
+            "in_w": np.asarray(self._in._weights, dtype=np.float64),
+            "out_indptr": np.asarray(self._out._indptr, dtype=np.int64),
+            "out_dst": np.asarray(self._out._ids, dtype=np.int32),
+            "out_w": np.asarray(self._out._weights, dtype=np.float64),
         }
 
 

@@ -1,13 +1,15 @@
 """HTTP front-end: routes, status mapping, batch slots, health."""
 
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.cluster.http import make_server, status_for_error
+from repro.cluster.http import MAX_BODY_BYTES, make_server, status_for_error
 from repro.service.service import QueryService
 
 
@@ -86,6 +88,55 @@ def test_bad_json_and_unknown_route(server):
     assert excinfo.value.code == 400
     assert _get(server, "/nope")[0] == 404
     assert _post(server, "/nope", {})[0] == 404
+
+
+#: Seconds a rejected request may take to be answered.
+_ANSWER_WITHIN = 5.0
+
+
+def _post_declaring(server, path, content_length):
+    """POST with a declared ``Content-Length`` and no body; returns
+    ``(status, body, seconds)``.
+
+    The socket keeps its write side open, so a server that trusted the
+    header and waited for the body would never answer.
+    """
+    host, port = server.server_address[:2]
+    started = time.monotonic()
+    with socket.create_connection((host, port), timeout=_ANSWER_WITHIN) as sock:
+        head = (
+            f"POST {path} HTTP/1.1\r\n"
+            f"Host: {host}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n\r\n"
+        )
+        sock.sendall(head.encode("latin-1"))
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    elapsed = time.monotonic() - started
+    status_line, _, body = raw.partition(b"\r\n\r\n")
+    return int(status_line.split(b" ", 2)[1]), json.loads(body), elapsed
+
+
+@pytest.mark.parametrize("path", ["/search", "/batch", "/mutate"])
+@pytest.mark.parametrize("declared", ["-1", "abc", "1e3", " -5 ", "\u00b2"])
+def test_invalid_content_length_is_400(server, path, declared):
+    status, body, elapsed = _post_declaring(server, path, declared)
+    assert status == 400
+    assert body["error_type"] == "ValueError"
+    assert "Content-Length" in body["error"]
+    assert elapsed < _ANSWER_WITHIN
+
+
+@pytest.mark.parametrize("path", ["/search", "/batch", "/mutate"])
+@pytest.mark.parametrize("declared", [MAX_BODY_BYTES + 1, 10**18])
+def test_oversized_content_length_is_413(server, path, declared):
+    status, body, elapsed = _post_declaring(server, path, declared)
+    assert status == 413
+    assert body["error_type"] == "PayloadTooLargeError"
+    assert str(MAX_BODY_BYTES) in body["error"]
+    assert elapsed < _ANSWER_WITHIN
 
 
 def test_batch_keeps_slots(server):

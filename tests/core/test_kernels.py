@@ -19,6 +19,7 @@ from repro.core.kernels import (
     numba_available,
     resolve_backend,
 )
+from repro.core.kernels.csr import parent_rows
 from repro.core.kernels.engines import EmitGate, effective_batch
 from repro.core.params import SearchParams
 from repro.service import QueryService
@@ -88,12 +89,10 @@ class TestGraphCSR:
         csr = graph_csr(g)
         assert isinstance(csr, GraphCSR)
         for v in range(4):
-            lo, hi = int(csr.in_indptr[v]), int(csr.in_indptr[v + 1])
-            assert [int(u) for u in csr.in_src[lo:hi]] == [
+            assert csr.in_side.row(v)[0].tolist() == [
                 u for u, _, _ in g.in_edges(v)
             ]
-            lo, hi = int(csr.out_indptr[v]), int(csr.out_indptr[v + 1])
-            assert [int(u) for u in csr.out_dst[lo:hi]] == [
+            assert csr.out_side.row(v)[0].tolist() == [
                 u for u, _, _ in g.out_edges(v)
             ]
 
@@ -110,9 +109,7 @@ class TestGraphCSR:
         dg.add_edge(1, 0, 3.0)
         dg.add_edge(1, 0, 1.5)  # parallel edge, lighter
         csr = graph_csr(dg.freeze())
-        lo, hi = int(csr.par_indptr[0]), int(csr.par_indptr[1])
-        assert hi - lo == 1
-        assert float(csr.par_w[lo]) == 1.5
+        assert parent_rows(csr)[0] == [(1, 1.5)]
 
 
 class TestVectorFrontier:

@@ -8,9 +8,13 @@ interleavings — and that the mapped tier (whose *base* postings
 materialize lazily) behaves exactly like the RAM tier throughout.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
+from repro.core.kernels import graph_csr
+from repro.core.kernels.csr import parent_rows
+from repro.core.params import SearchParams
 from repro.live.dataset import MutableDataset
 from repro.service.snapshot import save_engine
 from repro.storage import MappedSearchGraph
@@ -138,3 +142,85 @@ def test_modes_agree_after_identical_interleavings(snapshot_path):
     b = mapped.engine.search("rewritten removal", k=5)
     assert a.scores() == b.scores()
     assert a.signatures() == b.signatures()
+
+
+def _parents(edges):
+    bucket = {}
+    for u, w, _ in edges:
+        if u not in bucket or w < bucket[u]:
+            bucket[u] = w
+    return list(bucket.items())
+
+
+def mutated_dataset(snapshot_path, mode) -> MutableDataset:
+    """One commit past the snapshot: an edge removed and re-added (so
+    it moves to the end of its rows) and a new node with an edge."""
+    ds = make_dataset(snapshot_path, mode)
+    u = next(
+        n for n in ds.graph.nodes()
+        if any(fwd for _, _, fwd in ds.graph.out_edges(n))
+    )
+    v = next(t for t, _, fwd in ds.graph.out_edges(u) if fwd)
+    ds.remove_edge(u, v)
+    new = ds.add_node("csr overlay probe", text="csr overlay probe")
+    ds.add_edge(new, v)
+    ds.add_edge(u, v)  # re-added: now last in its rows
+    ds.commit()
+    return ds
+
+
+@pytest.mark.parametrize("mode", MODES)
+class TestKernelCSR:
+    """The kernel CSR of an overlay epoch reuses its base's arrays and
+    still reads exactly the epoch's adjacency; over a mapped base the
+    edge arrays stay views of the snapshot."""
+
+    def test_overlay_rows_match_graph(self, snapshot_path, mode):
+        ds = mutated_dataset(snapshot_path, mode)
+        graph = ds.graph
+        csr = graph_csr(graph)
+        assert csr.n == graph.num_nodes
+        parents = parent_rows(csr)
+        for v in range(graph.num_nodes):
+            src, w = csr.in_side.row(v)
+            assert list(zip(src.tolist(), w.tolist())) == [
+                (u, wt) for u, wt, _ in graph.in_edges(v)
+            ]
+            dst, w = csr.out_side.row(v)
+            assert list(zip(dst.tolist(), w.tolist())) == [
+                (t, wt) for t, wt, _ in graph.out_edges(v)
+            ]
+            assert csr.in_norm[v] == graph.in_inv_weight_sum(v)
+            assert csr.out_norm[v] == graph.out_inv_weight_sum(v)
+            assert parents[v] == _parents(graph.in_edges(v))
+        nodes = np.arange(graph.num_nodes, dtype=np.int64)
+        nbr, rep, w = csr.in_side.gather(nodes)
+        assert list(zip(nbr.tolist(), rep.tolist(), w.tolist())) == [
+            (u, v, wt)
+            for v in range(graph.num_nodes)
+            for u, wt, _ in graph.in_edges(v)
+        ]
+
+    def test_overlay_shares_base_arrays(self, snapshot_path, mode):
+        ds = mutated_dataset(snapshot_path, mode)
+        base = graph_csr(ds.graph._base)
+        csr = graph_csr(ds.graph)
+        assert csr.in_side.nbr is base.in_side.nbr
+        assert csr.out_side.w is base.out_side.w
+        if mode == "mapped":
+            assert not base.in_side.nbr.flags.owndata
+            assert not base.out_side.w.flags.owndata
+
+
+def test_batched_search_over_mapped_base_faults_no_rows(snapshot_path):
+    ds = mutated_dataset(snapshot_path, "mapped")
+    stats = ds.graph._base.storage
+    before = stats.row_faults
+    engine = KeywordSearchEngine(
+        ds.graph, ds.index, params=SearchParams(expansion_backend="vectorized")
+    )
+    for algorithm in ("si-backward", "bidirectional"):
+        result = engine.search("gray transaction", algorithm=algorithm)
+        assert result.answers
+        assert result.stats.kernel_batches > 0
+    assert stats.row_faults == before
